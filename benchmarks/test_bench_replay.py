@@ -1,6 +1,6 @@
 """Replay-engine throughput: cold record vs generator vs array-direct.
 
-Three benchmarks over the same workload (one query, four processors, the
+Four benchmarks over the same workload (one query, four processors, the
 scale's baseline machine) isolate the layers of the trace pipeline:
 
 * ``cold_record`` -- one full engine execution per processor, traced and
@@ -10,14 +10,11 @@ scale's baseline machine) isolate the layers of the trace pipeline:
 * ``array_direct_replay`` -- :meth:`Interleaver.run_traces` straight off
   the columnar arrays with the scalar reference kernel;
 * ``batched_replay`` -- the same traces through the batched kernel
-  (:mod:`repro.memsim.batch`);
-* ``horizon_replay`` -- the same traces through the horizon kernel
-  (:mod:`repro.memsim.horizon`), the default whenever numpy is
-  importable.
+  (:mod:`repro.memsim.batch`), the default whenever numpy is importable.
 
 ``extra_info`` records events per second for each, so the speedup of the
-array-direct dispatch over the generator path -- and of the batched and
-horizon kernels over scalar dispatch -- is visible in the saved
+array-direct dispatch over the generator path -- and of the batched
+kernel over scalar dispatch -- is visible in the saved
 benchmark JSON.  For the scripted kernel comparison with a CI regression
 gate, see ``scripts/bench_replay.py`` and
 ``benchmarks/BENCH_replay.json``.
@@ -109,29 +106,3 @@ def test_bench_batched_replay(benchmark, scale):
     _events_per_sec(benchmark, traces)
     benchmark.extra_info["exec_time"] = run.exec_time
 
-
-def test_bench_horizon_replay(benchmark, scale):
-    from repro.memsim.batch import HAVE_NUMPY
-    from repro.memsim.horizon import horizon_schedule
-
-    if not HAVE_NUMPY:
-        pytest.skip("the horizon kernel needs numpy (the 'perf' extra)")
-    sc = get_scale(scale)
-    cache = workload_trace_cache(sc)
-    traces = [cache.get(QID, i, i) for i in range(N_PROCS)]
-    # Plans and the sharing schedule build outside the timer, like the
-    # batched benchmark: a sweep pays them once per geometry.
-    config = sc.machine_config()
-    shift = config.l1_line.bit_length() - 1
-    machine = NumaMachine(config, home_fn=shared_home_fn())
-    for t in traces:
-        t.batch_plan(shift, machine._l1_nsets)
-    horizon_schedule(traces, machine._l2_shift)
-
-    def replay():
-        m = NumaMachine(config, home_fn=shared_home_fn())
-        return Interleaver(m).run_traces(traces, kernel="horizon")
-
-    run = run_once(benchmark, replay)
-    _events_per_sec(benchmark, traces)
-    benchmark.extra_info["exec_time"] = run.exec_time

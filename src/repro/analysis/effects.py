@@ -163,7 +163,7 @@ _CLASS_INSTANCE = {"NumaMachine": "machine", "MachineStats": "stats",
                    "RunResult": "runresult"}
 
 #: Parameters seeding abstract values by name (module-level helpers that
-#: take the machine explicitly, e.g. the batch/horizon planners).
+#: take the machine explicitly, e.g. the batch planners).
 _PARAM_SEEDS = {"machine": ("obj", "machine")}
 
 
@@ -724,19 +724,19 @@ class KernelEquivalenceRule:
     """KRN001/KRN002 -- kernel state-equivalence vs the scalar oracle.
 
     KRN001
-        A function in a *planner* module (``repro.memsim.batch``,
-        ``repro.memsim.horizon``) transitively writes oracle state.
-        Planners run at trace-combination time and are memoized across
-        replays; a write would leak one replay's state into the next.
+        A function in a *planner* module (``repro.memsim.batch``)
+        transitively writes oracle state.  Planners run at trace-plan
+        time and are memoized across replays; a write would leak one
+        replay's state into the next.
         Kernel-private atoms (the numpy tag mirror) are exempt.
     KRN002
         A fast-path engine's transitive write set contains an
         ``(atom, op)`` pair the scalar oracle's does not, and the
         mutation site carries no ``# repro: oracle-covered[...]``
         contract.  This is the static form of the bit-identity suite:
-        PR 7's victim-only eviction probe (pop + *append* on an L2 way
-        list, an op the oracle never performs) diffs here instead of
-        surfacing as one wrong counter in Q1.
+        a victim-only eviction probe in the batched engine (pop +
+        *append* on an L2 way list, an op the oracle never performs)
+        diffs here instead of surfacing as one wrong counter in Q1.
     """
 
     id = "KRN"
@@ -745,10 +745,8 @@ class KernelEquivalenceRule:
     facts_key = "fx"
 
     def __init__(self, scalar_roots=("Interleaver._run_traces_scalar",),
-                 fast_roots=(("batched", "Interleaver._run_traces_batched"),
-                             ("horizon", "Interleaver._run_traces_horizon")),
-                 planner_modules=("repro.memsim.batch",
-                                  "repro.memsim.horizon"),
+                 fast_roots=(("batched", "Interleaver._run_traces_batched"),),
+                 planner_modules=("repro.memsim.batch",),
                  private_prefixes=KERNEL_PRIVATE):
         self.scalar_roots = scalar_roots
         self.fast_roots = fast_roots

@@ -112,11 +112,9 @@ def clear_caches():
 
     Long sessions (pytest runs, sweep drivers) otherwise accumulate one
     database build and one trace set per ``(scale, seed)`` touched.  Also
-    covers the sweep driver's ablation-variant cache and the horizon
-    kernel's combined-schedule memo (which holds trace references).
+    covers the sweep driver's ablation-variant cache.
     """
     from repro.core.sweep import clear_variant_cache
-    from repro.memsim.horizon import clear_memo
     from repro.workload.session import clear_scenarios
 
     _DB_CACHE.clear()
@@ -124,7 +122,6 @@ def clear_caches():
         cache.clear()
     _TRACE_CACHE.clear()
     clear_variant_cache()
-    clear_memo()
     clear_scenarios()
 
 

@@ -45,8 +45,7 @@ class RunConfig:
     executor; ``strict_store`` makes damaged store entries fatal;
     ``report_out`` and ``progress`` drive the observability layer
     (:mod:`repro.obs`); ``kernel`` picks the replay dispatch engine
-    (``auto``/``batched``/``horizon``/``scalar``; see
-    :mod:`repro.memsim.batch` and :mod:`repro.memsim.horizon`).
+    (``auto``/``batched``/``scalar``; see :mod:`repro.memsim.batch`).
 
     ``backend`` selects the sweep executor (:mod:`repro.core.backend`):
     ``auto`` (process pool when ``jobs > 1``, else in-process), ``inproc``,

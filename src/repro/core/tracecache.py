@@ -72,7 +72,7 @@ class QueryTrace:
 
     __slots__ = ("kinds", "a", "b", "c", "d", "e", "lock_ids", "rows",
                  "n_source_events", "_rows_nbytes", "_columns",
-                 "_batch_base", "_batch_plans", "_share_base")
+                 "_batch_base", "_batch_plans")
 
     def __init__(self):
         self.kinds = array("b")
@@ -88,7 +88,6 @@ class QueryTrace:
         self._columns = None
         self._batch_base = None
         self._batch_plans = {}
-        self._share_base = {}
 
     def columns(self):
         """The six columns as plain lists, memoized.

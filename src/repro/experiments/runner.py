@@ -90,14 +90,11 @@ def _build_parser():
                              "re-queued (default: 30)")
     parser.add_argument("--kernel", default=os.environ.get("REPRO_KERNEL",
                                                            "auto"),
-                        choices=["auto", "horizon", "batched", "scalar"],
-                        help="replay dispatch engine: 'horizon' adds the "
-                             "sharing classifier and retires whole "
-                             "non-interacting regions past the window "
-                             "cuts, 'batched' retires non-interacting "
-                             "runs with numpy, 'scalar' is the "
-                             "pure-Python reference loop, 'auto' picks "
-                             "horizon when numpy is importable "
+                        choices=["auto", "batched", "scalar"],
+                        help="replay dispatch engine: 'batched' retires "
+                             "non-interacting runs with numpy, 'scalar' "
+                             "is the pure-Python reference loop, 'auto' "
+                             "picks batched when numpy is importable "
                              "(default: auto, or REPRO_KERNEL)")
     parser.add_argument("--strict-store", action="store_true",
                         help="raise on damaged trace-store entries instead "
@@ -264,22 +261,9 @@ def _print_timings(config, outcomes):
     rows = ks["batched_rows"] + ks["inline_rows"] + ks["scalar_rows"]
     frac = (f" ({ks['inline_rows'] / rows:.1%} inlined, "
             f"{ks['batched_rows'] / rows:.1%} gathered)") if rows else ""
-    print(f"  replay kern  horizon={ks['horizon_runs']} runs "
-          f"{ks['horizon_seconds']:.2f}s  batched={ks['batched_runs']} runs "
+    print(f"  replay kern  batched={ks['batched_runs']} runs "
           f"{ks['batched_seconds']:.2f}s  scalar={ks['scalar_runs']} runs "
           f"{ks['scalar_seconds']:.2f}s{frac}")
-    if ks["horizon_runs"]:
-        ahead = (f"{ks['horizon_rows'] / rows:.1%} of rows" if rows
-                 else f"{ks['horizon_rows']} rows")
-        plan = ks["plan_rows"]
-        retir = (f" retirable={1 - ks['plan_boundary'] / plan:.1%}"
-                 if plan else "")
-        print(f"  horizon tier {ahead} retired ahead in "
-              f"{ks['horizon_regions']} regions, "
-              f"{ks['horizon_merges']} window merges + "
-              f"{ks['horizon_windows']} stepped virtual windows, "
-              f"{ks['horizon_guards']} guard stops; "
-              f"ws_lines={ks['ws_lines']}{retir}")
     if ks["fallbacks"]:
         causes = " ".join(f"{cause}={n}"
                           for cause, n in sorted(ks["fallbacks"].items()))

@@ -30,15 +30,12 @@ scalar dispatch:
   of :data:`MIN_BATCH` rows or more -- then the mirror is built and
   maintained; otherwise it costs nothing.
 
-Kernel selection (:func:`resolve_kernel`): ``horizon`` / ``batched`` /
-``scalar`` / ``auto``, from an explicit argument, the process default set
-by :class:`~repro.core.run.RunConfig`, or ``REPRO_KERNEL``.  The horizon
-kernel (:mod:`repro.memsim.horizon`) layers a sharing classifier on top
-of the batch plans and retires runs of non-interacting rows *across*
-global-clock window cuts, replaying the cuts from recorded virtual
-clocks; ``auto`` picks it whenever numpy is importable.  When numpy is
-unavailable both numpy kernels degrade to the scalar path with a single
-warning per process.  Machine gating (:func:`machine_batch_reason`):
+Kernel selection (:func:`resolve_kernel`): ``batched`` / ``scalar`` /
+``auto``, from an explicit argument, the process default set by
+:class:`~repro.core.run.RunConfig`, or ``REPRO_KERNEL``; ``auto`` picks
+batched whenever numpy is importable.  When numpy is unavailable a
+batched request degrades to the scalar path with a single warning per
+process.  Machine gating (:func:`machine_batch_reason`):
 prefetching machines fall back to scalar entirely (a primary-cache hit
 may have to wait on a pending prefetch fill, which needs the scalar
 pending-fill probe); a set-associative L1 only disables the gather tier
@@ -63,8 +60,8 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 #: Whether the optional ``perf`` extra (numpy) is importable.
 HAVE_NUMPY = _np is not None
 
-#: Recognized kernel names (``auto`` resolves to one of the other three).
-KERNELS = ("auto", "horizon", "batched", "scalar")
+#: Recognized kernel names (``auto`` resolves to one of the other two).
+KERNELS = ("auto", "batched", "scalar")
 
 #: Line-tag sentinel stored in the mirror's extra slot and in the plan's
 #: ``lines`` entries for busy/hit rows: the gather-and-compare hit check
@@ -111,14 +108,14 @@ def default_kernel():
 
 
 def resolve_kernel(kernel=None):
-    """Resolve a kernel request to ``'horizon'``/``'batched'``/``'scalar'``.
+    """Resolve a kernel request to ``'batched'`` or ``'scalar'``.
 
     Precedence: the explicit ``kernel`` argument, then the process default
     (:func:`set_default_kernel`, i.e. ``RunConfig.kernel``), then the
     ``REPRO_KERNEL`` environment variable; a still-unresolved ``auto``
-    picks ``horizon`` whenever numpy is importable.  A ``horizon`` or
-    ``batched`` request without numpy warns once per process and degrades
-    to ``scalar``.
+    picks ``batched`` whenever numpy is importable.  A ``batched``
+    request without numpy warns once per process and degrades to
+    ``scalar``.
     """
     global _WARNED_NO_NUMPY
     if kernel is None or kernel == "auto":
@@ -126,14 +123,14 @@ def resolve_kernel(kernel=None):
     if kernel == "auto":
         kernel = _check_kernel(os.environ.get("REPRO_KERNEL") or "auto")
     if kernel == "auto":
-        kernel = "horizon" if HAVE_NUMPY else "scalar"
+        kernel = "batched" if HAVE_NUMPY else "scalar"
     _check_kernel(kernel)
-    if kernel in ("batched", "horizon") and not HAVE_NUMPY:
+    if kernel == "batched" and not HAVE_NUMPY:
         if not _WARNED_NO_NUMPY:
             # repro: allow[MP001] warn-once flag is per-process by design
             _WARNED_NO_NUMPY = True
             warnings.warn(
-                f"the {kernel} replay kernel needs numpy (the 'perf' "
+                "the batched replay kernel needs numpy (the 'perf' "
                 "extra: pip install repro[perf]); falling back to the "
                 "scalar kernel", RuntimeWarning, stacklevel=2)
         kernel = "scalar"
@@ -150,11 +147,7 @@ def machine_batch_reason(machine):
     reason: it only disables the gather tier (whose mirror requires
     stateless, direct-mapped hits; see
     :meth:`~repro.memsim.numa.NumaMachine._ensure_l1_mirror`), while the
-    inline tier handles any associativity.  The horizon kernel shares
-    these gates and adds one of its own in the dispatcher: a machine
-    with residual directory state (``warm_machine``) falls back to
-    batched, because the sharing classifier only covers lines the
-    *current* trace set touches.
+    inline tier handles any associativity.
     """
     if not HAVE_NUMPY:
         return "no_numpy"
@@ -351,23 +344,12 @@ def kernel_stats():
     engine dispatched through its scalar branches -- line-crossing
     accesses, busy/hit rows, lock events; contended-acquire retries are
     not rows and are not counted); ``fallbacks`` by reason (runs that
-    asked for a numpy kernel but ran a lower tier).
-
-    Horizon-tier extras: ``horizon_rows`` (rows retired ahead of the
-    global clock), ``horizon_regions`` (retire-ahead passes),
-    ``horizon_windows`` (window cuts replayed one at a time from virtual
-    clocks), ``horizon_merges`` (all-virtual merge fast-forwards, each
-    collapsing a whole span of such windows into one pass),
-    ``horizon_guards`` (retire passes cut short by the dynamic
-    eviction guard), and the classifier's coverage
-    (``plan_rows``/``plan_boundary``/``ws_lines`` over built schedules).
+    asked for the batched kernel but ran scalar).
     """
     from repro.obs.metrics import registry
 
     reg = registry()
     out = {
-        "horizon_runs": reg.value("interleave.kernel.horizon.runs"),
-        "horizon_seconds": reg.value("interleave.kernel.horizon.seconds"),
         "batched_runs": reg.value("interleave.kernel.batched.runs"),
         "batched_seconds": reg.value("interleave.kernel.batched.seconds"),
         "scalar_runs": reg.value("interleave.kernel.scalar.runs"),
@@ -376,14 +358,6 @@ def kernel_stats():
         "batched_dispatches": reg.value("interleave.batch.dispatches"),
         "inline_rows": reg.value("interleave.batch.inline_rows"),
         "scalar_rows": reg.value("interleave.batch.scalar_rows"),
-        "horizon_rows": reg.value("interleave.horizon.rows"),
-        "horizon_regions": reg.value("interleave.horizon.regions"),
-        "horizon_windows": reg.value("interleave.horizon.virtual_windows"),
-        "horizon_merges": reg.value("interleave.horizon.merges"),
-        "horizon_guards": reg.value("interleave.horizon.guard_stops"),
-        "plan_rows": reg.value("interleave.horizon.plan_rows"),
-        "plan_boundary": reg.value("interleave.horizon.plan_boundary"),
-        "ws_lines": reg.value("interleave.horizon.ws_lines"),
         "fallbacks": {},
     }
     prefix = "interleave.kernel.fallback."

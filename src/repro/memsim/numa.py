@@ -580,22 +580,6 @@ class NumaMachine:
                 fill = now + latency
             pending[(node, pline)] = fill
 
-    def is_pristine(self):
-        """Whether the machine has never been touched (or was rebuilt).
-
-        True iff the directory holds no sharer sets and no dirty owners
-        -- which, by the registration and inclusion invariants
-        (:meth:`check_invariants`), implies every cache is empty.  The
-        horizon kernel requires this: its sharing classifier only covers
-        lines the current trace set touches, so residual directory state
-        from an earlier run could change a retired row's latency or a
-        neighbour's miss path.  Per-node residue (write-buffer timing,
-        port availability, miss history) is deterministic per CPU and
-        does not matter.  O(1): two dict emptiness checks.
-        """
-        directory = self.directory
-        return not directory._sharers and not directory._dirty
-
     # -- sanitizer ---------------------------------------------------------------
 
     def check_invariants(self):

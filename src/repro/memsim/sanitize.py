@@ -28,20 +28,3 @@ class SanitizerError(AssertionError):
 def enabled():
     """Whether sanitizer mode is on for this process."""
     return ENABLED
-
-
-def check_monotonic(times, what):
-    """Raise unless ``times`` is strictly increasing.
-
-    The horizon kernel's virtual clocks must be strictly increasing --
-    every trace row costs at least one cycle -- or the bisect-based
-    window replay would consume rows out of order.  Called per
-    retire-ahead pass under ``REPRO_SANITIZE=1``; read-only, like every
-    sanitizer sweep.
-    """
-    prev = None
-    for t in times:
-        if prev is not None and t <= prev:
-            raise SanitizerError(
-                f"{what} is not strictly increasing: {t} after {prev}")
-        prev = t

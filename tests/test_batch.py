@@ -1,15 +1,13 @@
-"""Replay kernels: bit-identity, partitioning, classification, selection.
+"""Replay kernels: bit-identity, partitioning, selection.
 
-The batched and horizon engines (:mod:`repro.memsim.batch`,
-:mod:`repro.memsim.horizon`, plus ``Interleaver._run_traces_batched`` /
-``_run_traces_horizon``) must be indistinguishable from the scalar
-reference loop on every counter the simulator exposes.  These tests
-drive all engines over synthetic traces -- built through the same
+The batched engine (:mod:`repro.memsim.batch` plus
+``Interleaver._run_traces_batched``) must be indistinguishable from the
+scalar reference loop on every counter the simulator exposes.  These
+tests drive both engines over synthetic traces -- built through the same
 ``record()`` coalescing path real queries use -- including adversarial
 mixes hypothesis generates: shared lines, lock handoffs, line-crossing
-accesses, L1-set aliasing that forces the horizon kernel's eviction
-guard, and write-buffer pressure.  The partitioner's boundary rules, the
-sharing classifier, and the kernel-selection precedence are pinned
+accesses, L1-set aliasing, and write-buffer pressure.  The partitioner's
+boundary rules and the kernel-selection precedence are pinned
 separately.
 """
 
@@ -32,7 +30,6 @@ from repro.memsim.batch import (
 from repro.memsim.events import (
     EV_BUSY, EV_HIT, EV_LOCK_ACQ, EV_LOCK_REL, EV_READ, EV_WRITE,
 )
-from repro.memsim.horizon import horizon_schedule
 from repro.memsim.interleave import Interleaver
 from repro.memsim.numa import MachineConfig, NumaMachine
 from repro.memsim.stats import MachineStats
@@ -83,8 +80,6 @@ def assert_kernels_agree(per_cpu_events, config=CONFIG):
     scalar = run_kernel(traces, "scalar", config)
     batched = run_kernel(traces, "batched", config, sanitize=True)
     assert batched == scalar
-    horizon = run_kernel(traces, "horizon", config, sanitize=True)
-    assert horizon == scalar
 
 
 # -- bit-identity on hand-built boundary traces ----------------------------------
@@ -203,14 +198,14 @@ def test_random_workloads_identical(per_cpu):
 
 
 def _aliasing_event_strategy():
-    """Events biased toward the horizon kernel's hard cases.
+    """Events biased toward set aliasing and line-crossing spans.
 
-    Addresses either recur across CPUs on a handful of low lines (so the
-    classifier marks them write-shared as soon as anyone stores) or walk
+    Addresses either recur across CPUs on a handful of low lines (shared
+    lines that invalidate and ping-pong as soon as anyone stores) or walk
     multiples of the L1 size above them (private lines aliasing the same
-    L1 sets, so retire-ahead fills threaten resident shared lines and
-    must take the conservative guard path).  Sizes include line-crossing
-    spans so the per-line boundary expansion is exercised too.
+    L1 sets, so fills evict resident shared lines).  Sizes include
+    line-crossing spans so the batched kernel's inlined per-line loops
+    are exercised too.
     """
     l1 = CONFIG.l1_size
     line = CONFIG.l1_line
@@ -340,140 +335,42 @@ def test_set_associative_l1_still_batches():
             == run_kernel(traces, "scalar", config))
 
 
-# -- the sharing classifier ------------------------------------------------------
+# -- aliasing and warm machines -------------------------------------------------
 
 
-L2_SHIFT = CONFIG.l2_line.bit_length() - 1
-
-
-@needs_numpy
-def test_classifier_write_shared_lines():
-    """A line is write-shared iff someone writes it and someone else
-    touches it; read-only sharing and private writes stay retirable."""
-    l2 = CONFIG.l2_line
-    t0 = make_trace([(EV_READ, 0, 4, 1), (EV_WRITE, l2, 4, 1),
-                     (EV_READ, 4 * l2, 4, 1)])
-    t1 = make_trace([(EV_READ, l2, 4, 1), (EV_WRITE, 2 * l2, 4, 1),
-                     (EV_READ, 0, 4, 1)])
-    sched = horizon_schedule([t0, t1], L2_SHIFT)
-    # line 1: written by cpu0, read by cpu1 -> write-shared.
-    # line 0: read by both but written by nobody; line 2: written by
-    # cpu1 only; line 4: private -> none are boundaries.
-    assert sched.ws == {1}
-
-
-@needs_numpy
-def test_classifier_single_trace_has_no_sharing():
-    t = make_trace([(EV_WRITE, i * 8, 4, 1) for i in range(32)])
-    sched = horizon_schedule([t], L2_SHIFT)
-    assert sched.ws == set()
-    assert sched.plans[0].n_boundary == 0
-
-
-@needs_numpy
-def test_classifier_lock_words_count_as_written():
-    """Lock acquire/release rows write their 4-byte lock word, so the
-    word's line becomes write-shared for every other toucher -- and the
-    lock rows themselves are always boundaries."""
-    word = 8 * CONFIG.l2_line
-    t0 = make_trace([(EV_LOCK_ACQ, "l", word, 5),
-                     (EV_LOCK_REL, "l", word, 5)])
-    t1 = make_trace([(EV_READ, word, 4, 1)])
-    sched = horizon_schedule([t0, t1], L2_SHIFT)
-    assert sched.ws == {word >> L2_SHIFT}
-    assert sched.plans[0].stops[0] == 0
-    assert sched.plans[0].stops[1] == 1
-    assert sched.plans[1].stops[0] == 0
-
-
-@needs_numpy
-def test_schedule_stops_point_at_next_boundary():
-    shared = 8 * CONFIG.l2_line
-    t0 = make_trace([(EV_READ, i * 8, 4, 1) for i in range(6)]
-                    + [(EV_WRITE, shared, 4, 1)]
-                    + [(EV_READ, i * 8, 4, 1) for i in range(6)])
-    t1 = make_trace([(EV_READ, shared, 4, 1)])
-    sched = horizon_schedule([t0, t1], L2_SHIFT)
-    stops = sched.plans[0].stops
-    n = sched.plans[0].n_rows
-    cols = t0.columns()
-    widx = cols[0].index(EV_WRITE)
-    assert stops[widx] == widx
-    assert all(stops[i] == widx for i in range(widx))
-    assert all(stops[i] == n for i in range(widx + 1, n))
-    assert sched.plans[0].n_boundary == 1
-
-
-@needs_numpy
-def test_line_crossing_into_shared_line_is_boundary():
-    """A crossing access is expanded line by line: touching the shared
-    line at its edge -- or only through a middle line of a wide span --
-    must make the row a boundary (the conservative path)."""
-    l2 = CONFIG.l2_line
-    shared = 8 * l2
-    tail = [(EV_READ, 4096 + i * 8, 4, 1) for i in range(6)]
-    # Span ends inside the shared line.
-    t0 = make_trace([(EV_READ, shared - 8, 16, 1)] + tail)
-    sched = horizon_schedule(
-        [t0, make_trace([(EV_WRITE, shared, 4, 1)])], L2_SHIFT)
-    assert (shared >> L2_SHIFT) in sched.ws
-    assert sched.plans[0].stops[0] == 0
-    # Span covers the shared line only as a middle line.
-    t2 = make_trace([(EV_READ, shared - l2, 3 * l2, 1)] + tail)
-    sched2 = horizon_schedule(
-        [t2, make_trace([(EV_WRITE, shared + 4, 4, 1)])], L2_SHIFT)
-    assert sched2.plans[0].stops[0] == 0
-
-
-@needs_numpy
-def test_set_aliasing_forces_conservative_path():
-    """A retire-ahead fill aliasing the L1 set of a resident write-shared
-    line must stop at the eviction guard -- and stay bit-identical."""
+def test_set_aliasing_identical():
+    """Private fills aliasing the L1 set of a write-shared line, around
+    another CPU's late store to that line."""
     shared = 4096
     reads = [(EV_READ, shared + (k + 1) * CONFIG.l1_size, 4, 1)
              for k in range(12)]
     per_cpu = [
-        # cpu0 loads the shared line, spins past cpu1's window limit on a
-        # non-aliasing private read (the busy fuses into it), then fills
-        # private aliases of its L1 set while the copy is still resident:
-        # the fills START beyond the window cut, where the eviction guard
-        # must trip.  (A fill starting before the cut dispatches inside
-        # the window and needs no trip.)
+        # cpu0 loads the shared line, runs past cpu1's busy stretch on a
+        # non-aliasing private read, then fills private aliases of its L1
+        # set while the copy is still resident.
         [(EV_READ, shared, 4, 1), (EV_READ, shared + 4096 + 16, 4, 1),
          (EV_BUSY, 60000)] + reads + reads,
-        # cpu1 writes the line late (long busy first), so classification
-        # marks it write-shared but no invalidation clears cpu0's copy
-        # before the retire pass reaches the aliasing fills.
+        # cpu1 writes the line late (long busy first).
         [(EV_BUSY, 50000), (EV_WRITE, shared, 4, 1)],
     ]
     assert_kernels_agree(per_cpu)
-    from repro.obs.metrics import registry
-    before = registry().value("interleave.horizon.guard_stops")
-    run_kernel([make_trace(evs) for evs in per_cpu], "horizon")
-    assert registry().value("interleave.horizon.guard_stops") > before
 
 
-@needs_numpy
-def test_horizon_requires_pristine_machine():
-    """A machine carrying another run's residue falls back to batched:
-    the classifier cannot see lines this trace set never touches."""
-    events = [(EV_READ, i * CONFIG.l1_line, 4, 1) for i in range(64)]
-    machine = NumaMachine(CONFIG)
-    assert machine.is_pristine()
-    il = Interleaver(machine)
-    il.run_traces([make_trace(events) for _ in range(2)], kernel="horizon")
-    assert not machine.is_pristine()
-    from repro.obs.metrics import registry
-    before = registry().value("interleave.kernel.fallback.warm_machine")
-    il.run_traces([make_trace(events) for _ in range(2)], kernel="horizon")
-    assert registry().value("interleave.kernel.fallback.warm_machine") \
-        == before + 1
-    # The warm rerun (batched fallback) matches a scalar warm rerun.
+def test_warm_machine_rerun_identical():
+    """A second batched replay on a machine carrying the first run's
+    cache and directory residue matches a scalar warm rerun."""
+    line = CONFIG.l1_line
+    events = [(EV_READ, i * line, 4, 1) for i in range(64)]
+    events += [(EV_WRITE, i * 2 * line, 4, 1) for i in range(16)]
+    m1 = NumaMachine(CONFIG)
+    il1 = Interleaver(m1)
+    il1.run_traces([make_trace(events) for _ in range(2)], kernel="batched")
+    il1.run_traces([make_trace(events) for _ in range(2)], kernel="batched")
     m2 = NumaMachine(CONFIG)
     il2 = Interleaver(m2)
     il2.run_traces([make_trace(events) for _ in range(2)], kernel="scalar")
     il2.run_traces([make_trace(events) for _ in range(2)], kernel="scalar")
-    assert machine_snapshot(machine.stats) == machine_snapshot(m2.stats)
+    assert machine_snapshot(m1.stats) == machine_snapshot(m2.stats)
 
 
 # -- kernel selection ------------------------------------------------------------
@@ -496,14 +393,20 @@ def test_resolve_kernel_precedence(monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL", "scalar")
     assert resolve_kernel() == "scalar"
     monkeypatch.delenv("REPRO_KERNEL")
-    assert resolve_kernel() == ("horizon" if HAVE_NUMPY else "scalar")
+    assert resolve_kernel() == ("batched" if HAVE_NUMPY else "scalar")
 
 
-def test_resolve_kernel_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown replay kernel"):
-        resolve_kernel("simd")
-    with pytest.raises(ValueError, match="unknown replay kernel"):
-        set_default_kernel("simd")
+def test_resolve_kernel_rejects_unknown(monkeypatch):
+    # "horizon" names a deleted kernel: a stale request must fail loudly
+    # rather than silently run another engine.
+    for name in ("simd", "horizon"):
+        with pytest.raises(ValueError, match="unknown replay kernel"):
+            resolve_kernel(name)
+        with pytest.raises(ValueError, match="unknown replay kernel"):
+            set_default_kernel(name)
+        monkeypatch.setenv("REPRO_KERNEL", name)
+        with pytest.raises(ValueError, match="unknown replay kernel"):
+            resolve_kernel()
 
 
 def test_batched_without_numpy_warns_once(monkeypatch):

@@ -1,12 +1,11 @@
 """Tests for the kernel state-equivalence rule (KRN001/KRN002).
 
 The rule diffs the *transitive effect summaries* of the fast replay
-roots (batched, horizon) against the scalar oracle: a fast path gaining
-an (atom, op) write the scalar path never performs is exactly the bug
-class PR 7 shipped (a victim-only eviction probe that reordered L2
-recency via ``pop``/``append``), so the regression test here re-injects
-that probe into the real tree and asserts the rule catches it
-statically.
+root (batched) against the scalar oracle: a fast path gaining an
+(atom, op) write the scalar path never performs is exactly the bug
+class of a victim-only eviction probe that reorders L2 recency via
+``pop``/``append``, so the regression test here injects that probe into
+the real tree and asserts the rule catches it statically.
 """
 
 import os
@@ -37,15 +36,15 @@ def memsim_facts(patched=None):
 
 
 def inject_probe(cover=False):
-    """Re-introduce PR 7's victim-only eviction probe into the horizon
-    kernel: pop+append on an L2 way list the scalar oracle only ever
-    touches with insert/remove/pop-at-eviction."""
+    """Inject a victim-only eviction probe into the batched kernel, just
+    before its first L2 eviction: pop+append on an L2 way list the
+    scalar oracle only ever touches with insert/remove/pop-at-eviction."""
     with open(INTERLEAVE, encoding="utf-8") as f:
         lines = f.read().splitlines(keepends=True)
     start = next(i for i, ln in enumerate(lines)
-                 if "def _run_traces_horizon" in ln)
+                 if "def _run_traces_batched" in ln)
     at = next(i for i in range(start, len(lines))
-              if "for w in ways2:" in lines[i])
+              if "if len(ways2) > l2_assoc:" in lines[i])
     indent = " " * (len(lines[at]) - len(lines[at].lstrip()))
     probe = []
     if cover:
